@@ -8,8 +8,12 @@
 //!   pending changes. `propagate(plan)` returns `Δ(plan) = plan(post) −
 //!   plan(pre)` as a signed multiset.
 //! * Join propagation uses the exact bag identity
-//!   `Δ(A ⋈ B) = ΔA ⋈ B_pre ⊎ A_post ⋈ ΔB` — only the sides whose deltas
-//!   are non-empty are ever materialized.
+//!   `Δ(A ⋈ B) = ΔA ⋈ B_pre ⊎ A_post ⋈ ΔB`; a term is only evaluated when
+//!   its delta is non-empty. The whole side of a term (`B_pre`, `A_post`)
+//!   is read by key lookups when it is a base scan whose join columns cover
+//!   a key prefix (the index-probe access path, [`crate::maintain::probe`]),
+//!   so the term costs O(|Δ| + matches); any other side is evaluated in
+//!   full and hash-joined against the delta.
 //! * `GROUPBY` inside the tree uses the insert/delete rules of \[18\]:
 //!   identify affected groups, recompute them from pre and post states, and
 //!   emit delete+insert pairs — exactly the "costly identification and then
@@ -22,12 +26,13 @@
 //!   unpivoted row-wise.
 
 use crate::error::{CoreError, Result};
+use crate::maintain::probe::JoinSide;
 use crate::maintain::SourceDeltas;
 use gpivot_algebra::plan::{JoinKind, Plan};
 use gpivot_algebra::AggFunc;
 use gpivot_exec::pivot::{PivotLayout, UnpivotLayout};
 use gpivot_exec::{Executor, Overlay};
-use gpivot_storage::{Catalog, Delta, Row, Table, Value};
+use gpivot_storage::{Catalog, Delta, Row, Table};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
@@ -64,12 +69,17 @@ impl<'a> PropagationCtx<'a> {
         &self.exec
     }
 
-    /// Total operator-output rows evaluated so far (the sum of
-    /// `ExecTrace::total_rows` over every [`PropagationCtx::eval_pre`] /
-    /// [`PropagationCtx::eval_post`] call) — the propagate phase's work
-    /// proxy surfaced in `MaintenanceOutcome::rows_propagated`.
+    /// Total rows evaluated so far: the sum of `ExecTrace::total_rows`
+    /// over every [`PropagationCtx::eval_pre`] / [`PropagationCtx::eval_post`]
+    /// call plus every base row an index probe returned — the propagate
+    /// phase's work proxy surfaced in `MaintenanceOutcome::rows_propagated`.
     pub fn rows_evaluated(&self) -> usize {
         self.rows_evaluated.get()
+    }
+
+    /// Charge `rows` of evaluation work to this propagation.
+    pub(crate) fn count_rows(&self, rows: usize) {
+        self.rows_evaluated.set(self.rows_evaluated.get() + rows);
     }
 
     /// Does any base table under `plan` have a pending delta?
@@ -82,8 +92,7 @@ impl<'a> PropagationCtx<'a> {
     /// Evaluate a subplan against the pre-update state.
     pub fn eval_pre(&self, plan: &Plan) -> Result<Table> {
         let (table, trace) = self.exec.run_traced(plan, self.catalog)?;
-        self.rows_evaluated
-            .set(self.rows_evaluated.get() + trace.total_rows());
+        self.count_rows(trace.total_rows());
         Ok(table)
     }
 
@@ -99,8 +108,7 @@ impl<'a> PropagationCtx<'a> {
             }
         }
         let (table, trace) = self.exec.run_traced(plan, &overlay)?;
-        self.rows_evaluated
-            .set(self.rows_evaluated.get() + trace.total_rows());
+        self.count_rows(trace.total_rows());
         Ok(table)
     }
 }
@@ -189,31 +197,24 @@ pub fn propagate(plan: &Plan, ctx: &PropagationCtx<'_>) -> Result<Delta> {
             let bound_res = residual.as_ref().map(|e| e.bind(&out_schema)).transpose()?;
 
             let mut out = Delta::new();
+            let mut emit = |joined: Row, w: i64| {
+                if bound_res.as_ref().is_none_or(|p| p.holds(&joined)) {
+                    out.add(joined, w);
+                }
+            };
             // ΔA ⋈ B_pre
             if !dl.is_empty() {
-                let b_pre = ctx.eval_pre(right)?;
-                delta_join_into(
-                    &dl,
-                    &left_on,
-                    &b_pre,
-                    &right_on,
-                    /*delta_left=*/ true,
-                    bound_res.as_ref(),
-                    &mut out,
-                );
+                let b_pre = JoinSide::open(right, &right_on, false, ctx)?;
+                b_pre.join(&signed(&dl), &left_on, &right_on, ctx, |d, b, w| {
+                    emit(d.concat(b), w)
+                });
             }
             // A_post ⋈ ΔB
             if !dr.is_empty() {
-                let a_post = ctx.eval_post(left)?;
-                delta_join_into(
-                    &dr,
-                    &right_on,
-                    &a_post,
-                    &left_on,
-                    /*delta_left=*/ false,
-                    bound_res.as_ref(),
-                    &mut out,
-                );
+                let a_post = JoinSide::open(left, &left_on, true, ctx)?;
+                a_post.join(&signed(&dr), &right_on, &left_on, ctx, |d, a, w| {
+                    emit(a.concat(d), w)
+                });
             }
             Ok(out)
         }
@@ -367,54 +368,16 @@ pub fn apply_delta_to_bag(pre: &Table, delta: &Delta) -> Table {
     post_state_table(pre, delta)
 }
 
-/// `delta ⋈ table`, accumulating signed joined rows into `out`.
-///
-/// `delta_left` selects the output column order: `true` → delta columns
-/// first (delta is the plan's left side), `false` → table columns first.
-fn delta_join_into(
-    delta: &Delta,
-    delta_on: &[usize],
-    table: &Table,
-    table_on: &[usize],
-    delta_left: bool,
-    residual: Option<&gpivot_algebra::BoundExpr>,
-    out: &mut Delta,
-) {
-    // Build on the delta (small side).
-    let mut build: HashMap<Row, Vec<(&Row, i64)>> = HashMap::new();
-    for (row, &w) in delta.iter() {
-        let key = row.project(delta_on);
-        if key.iter().any(Value::is_null) {
-            continue;
-        }
-        build.entry(key).or_default().push((row, w));
-    }
-    for trow in table.iter() {
-        let key = trow.project(table_on);
-        if key.iter().any(Value::is_null) {
-            continue;
-        }
-        let Some(matches) = build.get(&key) else {
-            continue;
-        };
-        for (drow, w) in matches {
-            let joined = if delta_left {
-                drow.concat(trow)
-            } else {
-                trow.concat(drow)
-            };
-            if residual.map(|p| p.holds(&joined)).unwrap_or(true) {
-                out.add(joined, *w);
-            }
-        }
-    }
+/// A delta's rows with their signed multiplicities.
+fn signed(delta: &Delta) -> Vec<(&Row, i64)> {
+    delta.iter().map(|(row, &w)| (row, w)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpivot_algebra::{AggSpec, Expr, PivotSpec, PlanBuilder};
-    use gpivot_storage::{row, DataType, Schema};
+    use gpivot_storage::{row, DataType, Schema, Value};
     use std::sync::Arc;
 
     fn catalog() -> Catalog {

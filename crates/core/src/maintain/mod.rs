@@ -16,6 +16,7 @@
 pub mod apply;
 pub mod delta_prop;
 pub mod group_pivot;
+pub mod probe;
 pub mod select_pivot;
 pub mod strategy;
 pub mod view;

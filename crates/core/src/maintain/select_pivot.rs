@@ -12,22 +12,24 @@
 //! * **Insert candidates**: a key not in the view may newly satisfy σc only
 //!   if some *inserted* row touches a σc-referenced cell (the σc′ prefilter
 //!   of Fig. 29). Those keys' pivot rows are recomputed from the post-state
-//!   core *restricted to exactly those keys* — the restriction is pushed
-//!   down to the deepest subplan carrying the key columns, mirroring the
-//!   paper's `GPIVOT(π_K(σc′(ΔV)) ⋈ (V ⊎ ΔV))` plan.
+//!   core *restricted to exactly those keys*, mirroring the paper's
+//!   `GPIVOT(π_K(σc′(ΔV)) ⋈ (V ⊎ ΔV))` plan: the keys descend to the
+//!   deepest subplan carrying the key columns, which is read by post-state
+//!   key-prefix lookups when a key index covers them, and every join above
+//!   it reads its other side by index probe where one applies (the access
+//!   paths of [`crate::maintain::probe`]). No post-state table is built.
 
 use crate::error::{CoreError, Result};
 use crate::maintain::apply::{collect_cell_changes, ApplyStats};
 use crate::maintain::delta_prop::PropagationCtx;
+use crate::maintain::probe::{IndexProbe, JoinSide};
 use gpivot_algebra::plan::{JoinKind, Plan};
-use gpivot_algebra::{decode_pivot_col, Expr, PivotSpec};
+use gpivot_algebra::{decode_pivot_col, BoundExpr, Expr, PivotSpec};
 use gpivot_exec::pivot::PivotLayout;
 #[cfg(test)]
 use gpivot_exec::Executor;
-use gpivot_exec::Overlay;
 use gpivot_storage::{Delta, Row, Table, Value};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Apply the Fig. 29 combined rules.
 ///
@@ -55,7 +57,6 @@ pub fn apply_select_pivot_update(
     let layout = PivotLayout::resolve(spec, &core_schema)?;
     let n_k = layout.k_idx.len();
     let n_on = layout.on_idx.len();
-    let _width = n_k + spec.groups.len() * n_on;
     let bound_pred = predicate.bind(mv.schema())?;
 
     let changes = collect_cell_changes(delta_core, &layout);
@@ -145,12 +146,10 @@ pub fn apply_select_pivot_update(
             }
         };
         let candidate_set: HashSet<Row> = recompute_keys.iter().cloned().collect();
-        let mut restrict_keys: Vec<Row> = recompute_keys
+        let restrict_keys: Vec<Row> = recompute_keys
             .iter()
             .map(|k| k.project(&restrict_pos))
             .collect();
-        restrict_keys.sort();
-        restrict_keys.dedup();
 
         let restricted = eval_post_restricted(core, &restrict_names, restrict_keys, ctx)?;
         let out_schema = Plan::GPivot {
@@ -192,145 +191,141 @@ fn predicate_groups(predicate: &Expr, spec: &PivotSpec) -> HashSet<usize> {
     out
 }
 
-/// Evaluate `core` against the post-update state, restricted to the given
-/// key tuples. The restriction is realized as a hash semijoin against a
-/// temporary key table, pushed down to the deepest subplan that carries all
-/// key columns (typically the scan of the delta'd fact table).
+/// Evaluate `core` against the post-update state, restricted to the rows
+/// whose `k_names` columns project onto one of `keys`.
 pub fn eval_post_restricted(
     core: &Plan,
     k_names: &[String],
-    keys: Vec<Row>,
+    mut keys: Vec<Row>,
     ctx: &PropagationCtx<'_>,
 ) -> Result<Table> {
-    const KEYS_TABLE: &str = "__fig29_keys";
-    // Key table schema: renamed key columns (avoids name clashes).
-    let core_schema = core.schema(ctx.catalog)?;
-    let mut fields = Vec::with_capacity(k_names.len());
-    for k in k_names {
-        let f = core_schema.field(k)?;
-        fields.push(gpivot_storage::Field::new(
-            format!("__key_{k}"),
-            f.data_type,
-        ));
-    }
-    let key_schema = Arc::new(gpivot_storage::Schema::new(fields)?);
-    let key_table = Table::bag(key_schema, keys);
-
-    // Push the semijoin to the deepest subplan containing all key columns.
-    let restricted_plan = push_key_semijoin(core, k_names, ctx)?;
-
-    // Post-state overlay + the key table.
-    let mut overlay = Overlay::new(ctx.catalog);
-    for table in core.base_tables() {
-        if let Some(delta) = ctx.deltas.delta(&table) {
-            if !delta.is_empty() {
-                let pre = ctx.catalog.table(&table)?;
-                overlay.put(
-                    table.clone(),
-                    crate::maintain::delta_prop::post_state_table(pre, delta),
-                );
-            }
-        }
-    }
-    overlay.put(KEYS_TABLE, key_table);
-    Ok(ctx.executor().run(&restricted_plan, &overlay)?)
+    let schema = core.schema(ctx.catalog)?;
+    let k: Vec<usize> = k_names
+        .iter()
+        .map(|n| schema.index_of(n))
+        .collect::<gpivot_storage::Result<_>>()?;
+    keys.sort();
+    keys.dedup();
+    let rows = post_restricted(core, &k, &keys, ctx)?;
+    Ok(Table::bag(schema, rows))
 }
 
-/// Rewrite `plan` so the deepest subplan carrying all of `k_names` is
-/// semijoined with the `__fig29_keys` table.
-fn push_key_semijoin(plan: &Plan, k_names: &[String], ctx: &PropagationCtx<'_>) -> Result<Plan> {
-    const KEYS_TABLE: &str = "__fig29_keys";
+/// The post-state rows of `plan` whose columns `k` project onto one of the
+/// distinct `keys`. The keys descend through `Select`, pass-through
+/// `Project` and the carrying side of inner joins; the subplan they stop at
+/// is read by post-state key lookups when an index covers `k`, else
+/// evaluated in full and semijoined with the keys.
+fn post_restricted(
+    plan: &Plan,
+    k: &[usize],
+    keys: &[Row],
+    ctx: &PropagationCtx<'_>,
+) -> Result<Vec<Row>> {
+    let side = match IndexProbe::resolve(plan, k, ctx)? {
+        Some(probe) => JoinSide::probe(probe, true, ctx)?,
+        None => match descend_restricted(plan, k, keys, ctx)? {
+            Some(rows) => return Ok(rows),
+            None => JoinSide::Scan(ctx.eval_post(plan)?),
+        },
+    };
+    let key_on: Vec<usize> = (0..k.len()).collect();
+    let outer: Vec<(&Row, i64)> = keys.iter().map(|key| (key, 1)).collect();
+    let mut out = Vec::new();
+    side.join(&outer, &key_on, k, ctx, |_, row, _| out.push(row.clone()));
+    Ok(out)
+}
 
-    // Can the restriction descend into a child?
-    let descend_into: Option<usize> = match plan {
-        Plan::Select { .. }
-        | Plan::GroupBy { .. }
-        | Plan::GPivot { .. }
-        | Plan::GUnpivot { .. } => {
-            let child = plan.children()[0];
-            let cs = child.schema(ctx.catalog)?;
-            if k_names.iter().all(|k| cs.index_of(k).is_ok()) {
-                Some(0)
-            } else {
-                None
-            }
+/// One step of [`post_restricted`] below `plan`, or `None` when the keys
+/// cannot descend into a child.
+fn descend_restricted(
+    plan: &Plan,
+    k: &[usize],
+    keys: &[Row],
+    ctx: &PropagationCtx<'_>,
+) -> Result<Option<Vec<Row>>> {
+    match plan {
+        Plan::Select { input, predicate } => {
+            let schema = input.schema(ctx.catalog)?;
+            let bound = predicate.bind(&schema)?;
+            let rows = post_restricted(input, k, keys, ctx)?;
+            Ok(Some(rows.into_iter().filter(|r| bound.holds(r)).collect()))
         }
         Plan::Project { input, items } => {
-            // Descend only if every key column is a pure pass-through.
-            let ok = k_names.iter().all(|k| {
-                items
-                    .iter()
-                    .any(|(e, n)| n == k && matches!(e, Expr::Col(c) if c == n))
-            });
-            if ok {
-                let cs = input.schema(ctx.catalog)?;
-                if k_names.iter().all(|k| cs.index_of(k).is_ok()) {
-                    Some(0)
-                } else {
-                    None
-                }
-            } else {
-                None
+            let schema = input.schema(ctx.catalog)?;
+            let mut input_k = Vec::with_capacity(k.len());
+            for &c in k {
+                let Expr::Col(name) = &items[c].0 else {
+                    return Ok(None);
+                };
+                input_k.push(schema.index_of(name)?);
             }
+            let bound: Vec<BoundExpr> = items
+                .iter()
+                .map(|(e, _)| e.bind(&schema))
+                .collect::<gpivot_algebra::Result<_>>()?;
+            let rows = post_restricted(input, &input_k, keys, ctx)?;
+            Ok(Some(
+                rows.iter()
+                    .map(|r| Row::new(bound.iter().map(|b| b.eval(r)).collect()))
+                    .collect(),
+            ))
         }
-        Plan::Join { left, right, .. } => {
+        Plan::Join {
+            left,
+            right,
+            kind: JoinKind::Inner,
+            on,
+            residual,
+        } => {
             let ls = left.schema(ctx.catalog)?;
-            if k_names.iter().all(|k| ls.index_of(k).is_ok()) {
-                Some(0)
+            let rs = right.schema(ctx.catalog)?;
+            let left_on: Vec<usize> = on
+                .iter()
+                .map(|(l, _)| ls.index_of(l))
+                .collect::<gpivot_storage::Result<_>>()?;
+            let right_on: Vec<usize> = on
+                .iter()
+                .map(|(_, r)| rs.index_of(r))
+                .collect::<gpivot_storage::Result<_>>()?;
+            let n_left = ls.arity();
+            let carrier_is_left = if k.iter().all(|&c| c < n_left) {
+                true
+            } else if k.iter().all(|&c| c >= n_left) {
+                false
             } else {
-                let rs = right.schema(ctx.catalog)?;
-                if k_names.iter().all(|k| rs.index_of(k).is_ok()) {
-                    Some(1)
-                } else {
-                    None
-                }
-            }
+                return Ok(None);
+            };
+            let (carrier, other, carrier_k, carrier_on, other_on) = if carrier_is_left {
+                (left, right, k.to_vec(), &left_on, &right_on)
+            } else {
+                let k = k.iter().map(|&c| c - n_left).collect();
+                (right, left, k, &right_on, &left_on)
+            };
+            let out_schema = plan.schema(ctx.catalog)?;
+            let bound_res = residual.as_ref().map(|e| e.bind(&out_schema)).transpose()?;
+            let rows = post_restricted(carrier, &carrier_k, keys, ctx)?;
+            let outer: Vec<(&Row, i64)> = rows.iter().map(|r| (r, 1)).collect();
+            let mut out = Vec::new();
+            JoinSide::open(other, other_on, true, ctx)?.join(
+                &outer,
+                carrier_on,
+                other_on,
+                ctx,
+                |c, o, _| {
+                    let joined = if carrier_is_left {
+                        c.concat(o)
+                    } else {
+                        o.concat(c)
+                    };
+                    if bound_res.as_ref().is_none_or(|p| p.holds(&joined)) {
+                        out.push(joined);
+                    }
+                },
+            );
+            Ok(Some(out))
         }
-        _ => None,
-    };
-
-    if let Some(idx) = descend_into {
-        // Rebuild with the chosen child restricted.
-        let mut rebuilt = plan.clone();
-        let restricted_child = push_key_semijoin(plan.children()[idx], k_names, ctx)?;
-        match &mut rebuilt {
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::GroupBy { input, .. }
-            | Plan::GPivot { input, .. }
-            | Plan::GUnpivot { input, .. } => **input = restricted_child,
-            Plan::Join { left, right, .. } => {
-                if idx == 0 {
-                    **left = restricted_child;
-                } else {
-                    **right = restricted_child;
-                }
-            }
-            _ => unreachable!(),
-        }
-        return Ok(rebuilt);
+        _ => Ok(None),
     }
-
-    // Wrap here: plan ⋉ keys.
-    let schema = plan.schema(ctx.catalog)?;
-    let on: Vec<(String, String)> = k_names
-        .iter()
-        .map(|k| (k.clone(), format!("__key_{k}")))
-        .collect();
-    let joined = Plan::Join {
-        left: Box::new(plan.clone()),
-        right: Box::new(Plan::scan(KEYS_TABLE)),
-        kind: JoinKind::Inner,
-        on,
-        residual: None,
-    };
-    Ok(joined.project(
-        schema
-            .column_names()
-            .iter()
-            .map(|c| (Expr::col(*c), c.to_string()))
-            .collect(),
-    ))
 }
 
 #[cfg(test)]
@@ -338,6 +333,7 @@ mod tests {
     use super::*;
     use crate::maintain::SourceDeltas;
     use gpivot_storage::{row, Catalog, DataType, Schema};
+    use std::sync::Arc;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();

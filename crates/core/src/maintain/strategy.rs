@@ -109,9 +109,10 @@ pub struct MaintenanceOutcome {
     pub stats: ApplyStats,
     /// Number of distinct delta rows that reached the apply phase.
     pub delta_rows: usize,
-    /// Operator-output rows evaluated during the propagate phase (the sum
-    /// of `ExecTrace::total_rows` over every pre/post subplan evaluation) —
-    /// the work proxy the service layer's metrics report.
+    /// Rows evaluated during the propagate phase (the sum of
+    /// `ExecTrace::total_rows` over every pre/post subplan evaluation, plus
+    /// every base row an index probe returned) — the work proxy the service
+    /// layer's metrics report.
     pub rows_propagated: usize,
 }
 

@@ -911,9 +911,10 @@ impl ViewManager {
     /// Install (or overwrite) an already-materialized view under its own
     /// name. The service layer refreshes cloned views off-thread and
     /// installs the results in one critical section; this is the install
-    /// half of that protocol.
-    pub fn install_view(&mut self, view: MaterializedView) {
-        self.views.insert(view.name().to_string(), view);
+    /// half of that protocol. Returns the displaced view, so a caller
+    /// holding a lock can drop it after releasing the lock.
+    pub fn install_view(&mut self, view: MaterializedView) -> Option<MaterializedView> {
+        self.views.insert(view.name().to_string(), view)
     }
 
     /// Refresh a single view against pending deltas (no commit).
@@ -965,12 +966,15 @@ impl ViewManager {
     /// The infallible half of an atomic commit: swap in base tables staged
     /// by [`ViewManager::stage_commit`]. Nothing here can fail, so a caller
     /// holding a write lock commits all tables or (by never reaching this
-    /// call) none.
-    pub fn apply_staged(&mut self, staged: Vec<(String, Table)>) {
+    /// call) none. Returns the displaced base tables: dropping a large
+    /// table and its index takes time, which the caller can spend after
+    /// releasing its lock.
+    pub fn apply_staged(&mut self, staged: Vec<(String, Table)>) -> Vec<Table> {
         let _s = tracing::span("maintain.commit").enter();
-        for (name, table) in staged {
-            self.catalog.replace(name, table);
-        }
+        staged
+            .into_iter()
+            .filter_map(|(name, table)| self.catalog.replace(name, table))
+            .collect()
     }
 
     /// Full refresh cycle: maintain every view, then commit the deltas.

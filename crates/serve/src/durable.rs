@@ -342,10 +342,14 @@ fn apply_commit(manager: &mut ViewManager, batch: &SourceDeltas) -> Result<()> {
         refreshed.push(view);
     }
     let staged = manager.stage_commit(batch)?;
-    manager.apply_staged(staged);
-    for v in refreshed {
-        manager.install_view(v);
-    }
+    let displaced_tables = manager.apply_staged(staged);
+    let displaced_views: Vec<MaterializedView> = refreshed
+        .into_iter()
+        .filter_map(|v| manager.install_view(v))
+        .collect();
+    // Like `ViewService::refresh_epoch`, free the replaced state only once
+    // the commit is complete.
+    drop((displaced_tables, displaced_views));
     Ok(())
 }
 

@@ -966,10 +966,11 @@ impl ViewService {
         // between the read and write locks.)
         let mut committed: Vec<(String, MaintenanceOutcome, Duration, u32)> =
             Vec::with_capacity(ok.len());
-        let (summary, epoch_time) = {
+        let (summary, epoch_time, displaced) = {
             let _s = tracing::span("epoch.commit").enter();
             let mut state = sync::write(&self.shared.state);
-            state.apply_staged(staged);
+            let displaced_tables = state.apply_staged(staged);
+            let mut displaced_views = Vec::with_capacity(ok.len());
             let mut summary = EpochSummary {
                 batch_rows: drained.coalesced_rows,
                 batches_drained: drained.batches,
@@ -984,13 +985,16 @@ impl ViewService {
                 summary.rows_applied +=
                     (outcome.stats.inserted + outcome.stats.updated + outcome.stats.deleted) as u64;
                 committed.push((view.name().to_string(), outcome, took, retries));
-                state.install_view(view);
+                displaced_views.extend(state.install_view(view));
             }
             summary.epoch = self.shared.epoch.fetch_add(1, Ordering::SeqCst) + 1;
             let epoch_time = start.elapsed();
             summary.duration = epoch_time;
-            (summary, epoch_time)
+            (summary, epoch_time, (displaced_tables, displaced_views))
         };
+        // The replaced base tables and view tables are freed here, after
+        // the write guard is released, so readers never wait on the drop.
+        drop(displaced);
 
         {
             let mut m = sync::lock(&self.shared.metrics);

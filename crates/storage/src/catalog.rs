@@ -40,9 +40,10 @@ impl Catalog {
         Ok(())
     }
 
-    /// Replace a table (or insert it if absent).
-    pub fn replace(&mut self, name: impl Into<String>, table: Table) {
-        self.tables.insert(name.into(), table);
+    /// Replace a table (or insert it if absent), returning the displaced
+    /// table so the caller chooses where to pay for dropping it.
+    pub fn replace(&mut self, name: impl Into<String>, table: Table) -> Option<Table> {
+        self.tables.insert(name.into(), table)
     }
 
     /// Remove a table, returning it.

@@ -57,6 +57,6 @@ pub use error::{Result, StorageError};
 pub use fault::{FaultInjector, FaultSite};
 pub use row::Row;
 pub use schema::{DataType, Field, Schema, SchemaRef};
-pub use table::Table;
+pub use table::{PostStateProbe, Table};
 pub use value::Value;
 pub use wal::{FsyncPolicy, Wal, WalRecord, WalScan};

@@ -1,9 +1,13 @@
-//! Tables: row bags with an optional enforced key and a hash index over it.
+//! Tables: row bags with an optional enforced key and an ordered index over it.
 //!
 //! Two kinds of tables appear in the system:
 //!
 //! * **Base tables** (e.g. TPC-H `lineitem`) — declared with a key; the key
-//!   index makes delta-vs-base joins and point deletions cheap.
+//!   index answers point lookups and key-prefix lookups
+//!   ([`Table::rows_with_key_prefix`]), which is what lets the propagate
+//!   phase join a delta to a base table by probing instead of scanning, and
+//!   makes point deletions cheap. [`PostStateProbe`] answers the same
+//!   lookups against the post-update state `pre ⊕ Δ` without building it.
 //! * **Materialized views** — also keyed (the paper assumes a key in the
 //!   view, §6.1); the apply phase of maintenance uses the keyed update
 //!   primitives here ([`Table::upsert`], [`Table::update_by_key`],
@@ -17,24 +21,26 @@ use crate::delta::Delta;
 use crate::error::{Result, StorageError};
 use crate::row::Row;
 use crate::schema::SchemaRef;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// A bag of rows conforming to a schema, optionally indexed by the schema key.
 ///
-/// Rows are held behind an [`Arc`] with copy-on-write semantics: cloning a
-/// table (or re-wrapping a base table's rows via [`Table::bag_shared`] /
-/// [`Table::shared_rows`], as `Plan::Scan` does) shares the row storage,
-/// and the keyed mutators only materialize a private copy on first write
-/// ([`Arc::make_mut`]). Read-heavy paths — recompute, delta propagation —
-/// therefore stop paying O(|base|) per scan.
+/// Rows and the key index are held behind [`Arc`]s with copy-on-write
+/// semantics: cloning a table (or re-wrapping a base table's rows via
+/// [`Table::bag_shared`] / [`Table::shared_rows`], as `Plan::Scan` does)
+/// shares the row storage and the index, and the mutators only materialize
+/// a private copy on first write ([`Arc::make_mut`]). Read-heavy paths —
+/// recompute, delta propagation, view reads, snapshots — therefore stop
+/// paying O(|table|) per clone.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: SchemaRef,
     rows: Arc<Vec<Row>>,
-    /// key-projection → position in `rows`; present iff the schema has a key.
-    key_index: Option<HashMap<Row, usize>>,
+    /// key-projection → position in `rows`, ordered by key so that a key
+    /// prefix selects a contiguous range; present iff the schema has a key.
+    key_index: Option<Arc<BTreeMap<Row, usize>>>,
     /// Lazily built columnar image of `rows`, shared across clones (and
     /// across [`Table::as_bag`] views). Every mutator swaps in a fresh
     /// cell, so a cached chunk always describes the current rows.
@@ -49,7 +55,7 @@ fn empty_chunk_cell() -> Arc<OnceLock<Arc<Chunk>>> {
 impl Table {
     /// Create an empty table. A key index is built iff the schema has a key.
     pub fn new(schema: SchemaRef) -> Self {
-        let key_index = schema.key().map(|_| HashMap::new());
+        let key_index = schema.key().map(|_| Arc::new(BTreeMap::new()));
         Table {
             schema,
             rows: Arc::new(Vec::new()),
@@ -58,13 +64,10 @@ impl Table {
         }
     }
 
-    /// Create a table and bulk-load rows.
+    /// Create a table and bulk-load rows, enforcing arity and key
+    /// uniqueness (the key index is bulk-built, see [`Table::into_keyed`]).
     pub fn from_rows(schema: SchemaRef, rows: Vec<Row>) -> Result<Self> {
-        let mut t = Table::new(schema);
-        for r in rows {
-            t.insert(r)?;
-        }
-        Ok(t)
+        Table::bag(schema.clone(), rows).into_keyed(schema)
     }
 
     /// Create an un-keyed, un-checked bag (intermediate results).
@@ -113,18 +116,21 @@ impl Table {
         let key_index = match schema.key() {
             None => None,
             Some(key_cols) => {
-                let mut idx = HashMap::with_capacity(self.rows.len());
-                for (pos, row) in self.rows.iter().enumerate() {
-                    let key = row.project(key_cols);
-                    if idx.contains_key(&key) {
-                        return Err(StorageError::KeyViolation {
-                            table: "<table>".to_string(),
-                            key: format!("{key:?}"),
-                        });
-                    }
-                    idx.insert(key, pos);
+                let mut keys: Vec<(Row, usize)> = self
+                    .rows
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, row)| (row.project(key_cols), pos))
+                    .collect();
+                keys.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                if let Some(dup) = keys.windows(2).find(|w| w[0].0 == w[1].0) {
+                    return Err(StorageError::KeyViolation {
+                        table: "<table>".to_string(),
+                        key: format!("{:?}", dup[0].0),
+                    });
                 }
-                Some(idx)
+                // Sorted and unique: `collect` bulk-builds the tree.
+                Some(Arc::new(keys.into_iter().collect()))
             }
         };
         Ok(Table {
@@ -212,7 +218,7 @@ impl Table {
                     key: format!("{key:?}"),
                 });
             }
-            idx.insert(key, self.rows.len());
+            Arc::make_mut(idx).insert(key, self.rows.len());
         }
         self.touch();
         Arc::make_mut(&mut self.rows).push(row);
@@ -233,6 +239,19 @@ impl Table {
         idx.get(key).map(|&pos| &self.rows[pos])
     }
 
+    /// The rows whose key starts with `prefix` (the projection of the first
+    /// `prefix.arity()` key columns), in key order. A full key is a point
+    /// lookup. Costs O(log n + matches); a keyless table returns nothing.
+    pub fn rows_with_key_prefix<'t>(&'t self, prefix: &Row) -> impl Iterator<Item = &'t Row> + 't {
+        let prefix = prefix.clone();
+        let range = self.key_index.as_ref().map(|idx| idx.range(&prefix..));
+        range
+            .into_iter()
+            .flatten()
+            .take_while(move |(key, _)| key.values().starts_with(prefix.values()))
+            .map(|(_, &pos)| &self.rows[pos])
+    }
+
     /// True iff a row with this key exists.
     pub fn contains_key(&self, key: &Row) -> bool {
         self.get_by_key(key).is_some()
@@ -240,16 +259,17 @@ impl Table {
 
     /// Remove the row with this key; returns it if present.
     pub fn delete_by_key(&mut self, key: &Row) -> Option<Row> {
-        let idx = self.key_index.as_mut()?;
-        let pos = idx.remove(key)?;
+        if !self.key_index.as_ref()?.contains_key(key) {
+            return None;
+        }
         self.touch();
-        let removed = Arc::make_mut(&mut self.rows).swap_remove(pos);
+        let idx = Arc::make_mut(self.key_index.as_mut()?);
+        let pos = idx.remove(key)?;
+        let rows = Arc::make_mut(&mut self.rows);
+        let removed = rows.swap_remove(pos);
         // Fix the moved row's index entry (if any row was moved into `pos`).
-        if pos < self.rows.len() {
-            if let (Some(k), Some(idx)) = (self.schema.key(), self.key_index.as_mut()) {
-                let moved_key = self.rows[pos].project(k);
-                idx.insert(moved_key, pos);
-            }
+        if let (Some(moved), Some(k)) = (rows.get(pos), self.schema.key()) {
+            idx.insert(moved.project(k), pos);
         }
         Some(removed)
     }
@@ -378,6 +398,59 @@ impl Table {
             out.push('\n');
         }
         sep(&mut out);
+        out
+    }
+}
+
+/// Key-prefix lookups into the post-update state `pre ⊕ Δ` of a keyed table
+/// without materializing it. Each probe returns the pre-state rows under
+/// the prefix minus Δ's deletions plus Δ's insertions, in
+/// O(log n + matches + Δ rows under that prefix).
+#[derive(Debug)]
+pub struct PostStateProbe<'a> {
+    pre: &'a Table,
+    /// Δ's signed rows, grouped by their key prefix.
+    changes: HashMap<Row, Vec<(&'a Row, i64)>>,
+}
+
+impl<'a> PostStateProbe<'a> {
+    /// Index `delta` (if any) by the first `prefix_len` key columns of
+    /// `pre`. O(|Δ|); a keyless `pre` yields a probe that finds nothing.
+    pub fn new(pre: &'a Table, delta: Option<&'a Delta>, prefix_len: usize) -> Self {
+        let mut changes: HashMap<Row, Vec<(&'a Row, i64)>> = HashMap::new();
+        if let (Some(key), Some(delta)) = (pre.schema.key(), delta) {
+            let prefix_cols = &key[..prefix_len.min(key.len())];
+            for (row, &w) in delta.iter() {
+                changes
+                    .entry(row.project(prefix_cols))
+                    .or_default()
+                    .push((row, w));
+            }
+        }
+        PostStateProbe { pre, changes }
+    }
+
+    /// The post-state rows whose key starts with `prefix` (bag semantics:
+    /// a row deleted `k` times drops `k` pre-state copies).
+    pub fn rows_with_key_prefix(&self, prefix: &Row) -> Vec<&'a Row> {
+        let changes = self.changes.get(prefix).map_or(&[][..], Vec::as_slice);
+        let mut deletes: Vec<(&Row, i64)> = changes
+            .iter()
+            .filter(|(_, w)| *w < 0)
+            .map(|&(row, w)| (row, -w))
+            .collect();
+        let mut out = Vec::new();
+        for row in self.pre.rows_with_key_prefix(prefix) {
+            match deletes.iter_mut().find(|(d, left)| *left > 0 && *d == row) {
+                Some((_, left)) => *left -= 1,
+                None => out.push(row),
+            }
+        }
+        for &(row, w) in changes {
+            for _ in 0..w.max(0) {
+                out.push(row);
+            }
+        }
         out
     }
 }
@@ -587,6 +660,165 @@ mod tests {
             Arc::ptr_eq(&chunk, &keyed.chunk()),
             "rows unchanged, cache kept"
         );
+    }
+
+    /// `(a, b, v)` keyed by `(a, b)`: a two-column key with a usable prefix.
+    fn composite_schema() -> SchemaRef {
+        Arc::new(
+            Schema::from_pairs_keyed(
+                &[
+                    ("a", DataType::Int),
+                    ("b", DataType::Int),
+                    ("v", DataType::Str),
+                ],
+                &["a", "b"],
+            )
+            .unwrap(),
+        )
+    }
+
+    fn prefix(t: &Table, key: Row) -> Vec<Row> {
+        t.rows_with_key_prefix(&key).cloned().collect()
+    }
+
+    fn composite() -> Table {
+        let mut t = Table::new(composite_schema());
+        for (a, b) in [(2, 1), (1, 2), (3, 1), (1, 1), (2, 2), (1, 3)] {
+            t.insert(row![a, b, format!("{a}.{b}")]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn prefix_and_point_lookups_after_insert() {
+        let t = composite();
+        assert_eq!(
+            prefix(&t, row![1]),
+            vec![row![1, 1, "1.1"], row![1, 2, "1.2"], row![1, 3, "1.3"]],
+            "prefix rows come back in key order"
+        );
+        assert_eq!(prefix(&t, row![3]), vec![row![3, 1, "3.1"]]);
+        assert!(prefix(&t, row![4]).is_empty());
+        assert!(prefix(&t, row![0]).is_empty());
+        assert_eq!(prefix(&t, row![2, 2]), vec![row![2, 2, "2.2"]]);
+        assert!(prefix(&t, row![2, 3]).is_empty());
+        assert_eq!(t.get_by_key(&row![1, 2]), Some(&row![1, 2, "1.2"]));
+    }
+
+    #[test]
+    fn prefix_lookups_after_swap_remove() {
+        let mut t = composite();
+        // Slot 0 holds (2, 1); the last row (1, 3) is swapped into it.
+        assert_eq!(t.delete_by_key(&row![2, 1]), Some(row![2, 1, "2.1"]));
+        assert_eq!(prefix(&t, row![2]), vec![row![2, 2, "2.2"]]);
+        assert_eq!(
+            prefix(&t, row![1]),
+            vec![row![1, 1, "1.1"], row![1, 2, "1.2"], row![1, 3, "1.3"]]
+        );
+        assert_eq!(t.get_by_key(&row![1, 3]), Some(&row![1, 3, "1.3"]));
+        // Deleting the last slot moves nothing.
+        assert!(t.delete_by_key(&row![2, 2]).is_some());
+        assert!(prefix(&t, row![2]).is_empty());
+        assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn prefix_lookups_after_update_and_upsert() {
+        let mut t = composite();
+        t.update_by_key(&row![1, 2], row![1, 2, "new"]).unwrap();
+        assert_eq!(prefix(&t, row![1])[1], row![1, 2, "new"]);
+        // Upsert replacing an existing key, then inserting a fresh one.
+        assert!(t.upsert(row![3, 1, "up"]).unwrap().is_some());
+        assert!(t.upsert(row![3, 0, "ins"]).unwrap().is_none());
+        assert_eq!(
+            prefix(&t, row![3]),
+            vec![row![3, 0, "ins"], row![3, 1, "up"]]
+        );
+        assert_eq!(t.get_by_key(&row![3, 0]), Some(&row![3, 0, "ins"]));
+    }
+
+    #[test]
+    fn clones_share_the_index_until_one_writes() {
+        let t = composite();
+        let mut c = t.clone();
+        assert!(
+            c.delete_by_key(&row![9, 9]).is_none(),
+            "a miss writes nothing"
+        );
+        c.delete_by_key(&row![1, 1]).unwrap();
+        c.insert(row![1, 0, "c"]).unwrap();
+        assert_eq!(prefix(&c, row![1])[0], row![1, 0, "c"]);
+        assert_eq!(c.get_by_key(&row![1, 1]), None);
+        // The original keeps its own rows and index.
+        assert_eq!(prefix(&t, row![1])[0], row![1, 1, "1.1"]);
+        assert_eq!(t.get_by_key(&row![1, 0]), None);
+        assert_eq!(t.len(), 6);
+    }
+
+    #[test]
+    fn into_keyed_builds_the_ordered_index() {
+        let bag = Table::bag(
+            composite_schema(),
+            vec![row![5, 2, "x"], row![4, 1, "y"], row![5, 1, "z"]],
+        );
+        let keyed = bag.into_keyed(composite_schema()).unwrap();
+        assert_eq!(
+            prefix(&keyed, row![5]),
+            vec![row![5, 1, "z"], row![5, 2, "x"]]
+        );
+        assert_eq!(keyed.get_by_key(&row![4, 1]), Some(&row![4, 1, "y"]));
+        let loaded = Table::from_rows(composite_schema(), vec![row![7, 1, "w"]]).unwrap();
+        assert_eq!(prefix(&loaded, row![7]), vec![row![7, 1, "w"]]);
+    }
+
+    #[test]
+    fn keyless_table_prefix_probe_finds_nothing() {
+        let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]).unwrap());
+        let t = Table::bag(schema, vec![row![1], row![1]]);
+        assert_eq!(prefix(&t, row![1]).len(), 0);
+        assert!(PostStateProbe::new(&t, None, 1)
+            .rows_with_key_prefix(&row![1])
+            .is_empty());
+    }
+
+    #[test]
+    fn post_state_probe_applies_delta_under_the_prefix() {
+        let pre = composite();
+        let mut d = Delta::new();
+        d.add(row![1, 2, "1.2"], -1); // delete
+        d.add(row![1, 1, "1.1"], -1); // delete + re-insert the same key
+        d.add(row![1, 1, "again"], 1);
+        d.add(row![1, 9, "new"], 1); // fresh key under the prefix
+        d.add(row![9, 9, "gone"], -1); // deleting an absent row is a no-op
+        d.add(row![3, 5, "other"], 1); // another prefix
+        let probe = PostStateProbe::new(&pre, Some(&d), 1);
+        let mut got: Vec<Row> = probe
+            .rows_with_key_prefix(&row![1])
+            .into_iter()
+            .cloned()
+            .collect();
+        got.sort();
+        assert_eq!(
+            got,
+            vec![row![1, 1, "again"], row![1, 3, "1.3"], row![1, 9, "new"]]
+        );
+        assert_eq!(probe.rows_with_key_prefix(&row![2]).len(), 2, "untouched");
+        assert_eq!(probe.rows_with_key_prefix(&row![3]).len(), 2);
+        assert!(probe.rows_with_key_prefix(&row![9]).is_empty());
+        // The probe agrees with applying the delta for every prefix.
+        let mut post = pre.clone();
+        post.apply_delta(&d).unwrap();
+        for a in 0..10 {
+            let mut want = prefix(&post, row![a]);
+            let mut got: Vec<Row> = probe
+                .rows_with_key_prefix(&row![a])
+                .into_iter()
+                .cloned()
+                .collect();
+            want.sort();
+            got.sort();
+            assert_eq!(got, want, "prefix {a}");
+        }
     }
 
     #[test]
